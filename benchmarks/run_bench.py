@@ -2,9 +2,9 @@
 """Standalone micro-benchmark harness for the FlexCast core hot path.
 
 Times the operations that dominate per-delivery cost — ``depends``,
-``diff_for``, ``merge_delta``, the full lca delivery round (plain, hybrid
-and batched) and a coordinator re-planning pass — at several history sizes,
-plus a throughput-vs-batch-size sweep, and writes the numbers to
+``diff_for``, ``merge_delta``, the full lca delivery round (guarded,
+timestamped and batched) and a coordinator re-planning pass — at several
+history sizes, plus a throughput-vs-batch-size sweep, and writes the numbers to
 ``BENCH_micro.json`` so the perf trajectory is tracked across PRs (see
 DESIGN.md for the complexity tables and amortization claims these numbers
 validate).
@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.flexcast import FlexCastGroup  # noqa: E402
+from repro.core.flexcast import FlexCastGroup, FlexCastProtocol  # noqa: E402
 from repro.core.history import History, HistoryDiffTracker  # noqa: E402
 from repro.core.message import FlexCastBatch, FlexCastTsPropose, Message  # noqa: E402
 from repro.obs import Observability  # noqa: E402
@@ -247,20 +247,22 @@ def bench_delivery_round(size: int) -> Callable[[], None]:
     return op
 
 
-def bench_delivery_round_hybrid(size: int) -> Callable[[], None]:
-    """One steady-state lca delivery round with the hybrid Skeen-timestamp
-    ordering authority on (|H| = ``size``).
+def bench_delivery_round_timestamped(size: int) -> Callable[[], None]:
+    """One steady-state lca delivery round in a timestamped deployment
+    (|H| = ``size``).
 
-    Same shape as ``delivery_round`` plus the hybrid overhead: the client
+    The declared shapes ``{0, 3, 7}`` and ``{0, 1}`` share exactly one group,
+    so the protocol Skeen-timestamps every global message.  Same shape as
+    ``delivery_round`` plus the timestamp overhead: the client
     request mints a local Skeen proposal (broadcast to the two peers), both
     peers' proposals arrive, the final timestamp decides and the convoy gate
     releases the delivery.  The gap to ``delivery_round`` is the paper's
     convoy-effect cost on the gated hot path, which the CI gate bounds.
     """
-    overlay = CDagOverlay(list(range(12)))
-    group = FlexCastGroup(
-        0, overlay, RecordingTransport(0), RecordingSink(), hybrid=True
+    protocol = FlexCastProtocol(
+        CDagOverlay(list(range(12))), conflict_shapes=[{0, 3, 7}, {0, 1}]
     )
+    group = protocol.create_group(0, RecordingTransport(0), RecordingSink())
     for i in range(size):
         group.history.record_delivery(
             Message(msg_id=f"fill-{i}", dst=frozenset({0, 3, 7}))
@@ -457,7 +459,9 @@ BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "merge_delta": bench_merge_delta,
     "cold_sync": bench_cold_sync,
     "delivery_round": bench_delivery_round,
-    "delivery_round_hybrid": bench_delivery_round_hybrid,
+    # Key predates the guard-or-timestamps choice; kept so the committed
+    # BENCH_micro.json baseline still gates it.
+    "delivery_round_hybrid": bench_delivery_round_timestamped,
     "delivery_round_batched": bench_delivery_round_batched,
     "delivery_round_durable": bench_delivery_round_durable,
     "delivery_round_obs": bench_delivery_round_obs,

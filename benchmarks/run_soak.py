@@ -37,8 +37,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument("--groups", type=int, default=2)
     parser.add_argument("--replication", type=int, default=3)
-    parser.add_argument("--hybrid", action="store_true",
-                        help="enable the hybrid Skeen-timestamp authority")
     parser.add_argument("--messages", type=int, default=1_000_000)
     parser.add_argument("--clients", type=int, default=2000,
                         help="logical closed-loop clients")
@@ -86,7 +84,6 @@ def main(argv=None) -> int:
     config = SoakConfig(
         groups=args.groups,
         replication=args.replication,
-        hybrid=args.hybrid,
         storage_root=args.storage_root,
         messages=args.messages,
         clients=args.clients,

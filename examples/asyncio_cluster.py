@@ -6,7 +6,7 @@ emulating the AWS wide-area latencies on every connection, the same technique
 the paper uses on CloudLab — and multicasts a few messages from an asyncio
 client, printing the per-destination response latencies.
 
-Run with:  python examples/asyncio_cluster.py [--protocol flexcast|flexcast-hybrid|hierarchical|distributed] [--emulate-wan]
+Run with:  python examples/asyncio_cluster.py [--protocol flexcast|flexcast-declared|hierarchical|distributed] [--emulate-wan]
 """
 
 import argparse
@@ -20,14 +20,26 @@ from repro.runtime.cluster import LocalCluster
 from repro.sim.latencies import aws_latency_matrix
 
 
+#: Destination sets the demo multicasts to.
+WORKLOADS = [
+    [0, 1],
+    [2, 5, 7],
+    [3, 4],
+    [0, 8],
+    [6, 7],
+]
+
+
 def build_protocol(name: str):
     latencies = aws_latency_matrix()
     if name == "flexcast":
         return FlexCastProtocol(build_o1(latencies)), latencies
-    if name == "flexcast-hybrid":
-        # Skeen-timestamp ordering authority fused in: global messages also
-        # acquire final timestamps (ts-propose envelopes over the real wire).
-        return FlexCastProtocol(build_o1(latencies), hybrid=True), latencies
+    if name == "flexcast-declared":
+        # The workload's shapes declared: {0, 1} and {0, 8} share exactly one
+        # group, so the deployment timestamps every global message
+        # (ts-propose envelopes over the real wire).
+        protocol = FlexCastProtocol(build_o1(latencies), conflict_shapes=WORKLOADS)
+        return protocol, latencies
     if name == "hierarchical":
         return HierarchicalProtocol(build_t1(latencies)), latencies
     if name == "distributed":
@@ -41,14 +53,7 @@ async def run(protocol_name: str, emulate_wan: bool) -> None:
           f"({'emulated WAN latencies' if emulate_wan else 'raw loopback'}) ...")
     async with LocalCluster(protocol, latencies=latencies, emulate_wan=emulate_wan) as cluster:
         client = await cluster.new_client("client-1")
-        workloads = [
-            [0, 1],
-            [2, 5, 7],
-            [3, 4],
-            [0, 8],
-            [6, 7],
-        ]
-        for destinations in workloads:
+        for destinations in WORKLOADS:
             latencies_ms = await client.multicast(destinations, payload="demo", timeout=30.0)
             pretty = ", ".join(
                 f"group {g}: {ms:6.1f} ms" for g, ms in sorted(latencies_ms.items())
@@ -70,7 +75,7 @@ def main() -> None:
         ),
     )
     parser.add_argument("--protocol", default="flexcast",
-                        choices=["flexcast", "flexcast-hybrid", "hierarchical", "distributed"])
+                        choices=["flexcast", "flexcast-declared", "hierarchical", "distributed"])
     parser.add_argument("--emulate-wan", action="store_true",
                         help="inject AWS inter-region latencies on every connection")
     args = parser.parse_args()

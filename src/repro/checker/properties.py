@@ -176,8 +176,9 @@ def find_delivery_cycle(
 
     Returns the cycle as a closed path ``[a, b, …, a]``.  Used by the
     acyclic-order check and the sequential-replay oracle so a violation names
-    an actual witness — with hybrid mode promoting ``acyclic-order`` to a
-    hard CI failure, "a cycle exists" alone is not an actionable report.
+    an actual witness — with declared deployments promoting
+    ``acyclic-order`` to a hard CI failure, "a cycle exists" alone is not an
+    actionable report.
     """
     colors: Dict[str, int] = {}
     stack: List[str] = []

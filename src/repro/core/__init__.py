@@ -1,8 +1,8 @@
 """FlexCast core: messages, histories, the protocol itself, GC, clients and batching.
 
 Main entry points: :class:`FlexCastProtocol` (deploy the protocol on a C-DAG
-overlay, optionally with ``hybrid=True`` for the Skeen-timestamp ordering
-authority), :class:`Message` (the application multicast unit),
+overlay, optionally declaring its ``conflict_shapes`` so it can pick the
+pivot guard or Skeen timestamps), :class:`Message` (the application multicast unit),
 :class:`MulticastClient` / :class:`BatchingClient` (submission + response
 tracking, unbatched and window-coalesced), and :class:`FlushCoordinator`
 (periodic garbage-collection flush multicasts).

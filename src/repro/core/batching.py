@@ -2,7 +2,7 @@
 
 Every submission in the base client pays its own envelope: one client
 request, one msg/ack round per destination, one Skeen-timestamp convoy in
-hybrid mode, one codec pass and one simulator event per hop.  Under heavy
+a timestamped deployment, one codec pass and one simulator event per hop.  Under heavy
 traffic that per-message overhead — not the ordering logic — dominates the
 delivery path (PR 1 made the history work O(affected); PR 4 bounded the
 convoy cost).  :class:`BatchingClient` amortizes it the standard middleware

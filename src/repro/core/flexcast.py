@@ -23,54 +23,34 @@ dependency information that could order another message before ``m``:
   down to the destinations of ``m``.  Notified groups are carried in the
   envelopes so destinations know to wait for their acks as well.
 
-On top of the paper's protocol, an optional **hybrid mode** fuses the
-Distributed baseline's ordering authority (Skeen-style final timestamps,
-:class:`~repro.core.timestamps.TimestampAuthority`) into the delivery gate:
-every *global* message additionally acquires a final timestamp from its
-destination groups, and contested deliveries follow ``(final timestamp, id)``
-order.  This closes the c-DAG's one residual ordering hole — under extreme
-cross-group conflict density, disjoint-destination chains could previously
-commit complementary halves of a global delivery cycle that the down-only
-information flow surfaces only after the fact (a *detected* ``acyclic-order``
-anomaly).  With hybrid mode on, global acyclic order is a guaranteed
-property; with it off (the default), behaviour is bit-identical to the
-timestamp-free protocol.  See DESIGN.md "hybrid Skeen-timestamp ordering
-authority" for the argument and the overhead trade-off (the paper's convoy
-effect, §5).
+On top of the paper's protocol sits one deployment-wide ordering choice:
+**guard or timestamps**.  A deployment may declare its universe of global
+destination-set shapes (``FlexCastProtocol(overlay, conflict_shapes=...)``);
+the protocol inspects it once, at construction:
 
-Between the two sit **conflict-scoped order claims** (``conflict_shapes``):
-plain mode's answer to the *single-shared-group 3-cycle*.  Three messages
-whose pairs each intersect in exactly one group get their three pairwise
-orders decided at three independent groups, and no down-flowing history can
-relate those decisions in time — the pivot guard never even sees the race
-(DESIGN.md "anatomy of the single-shared-group 3-cycle").  Given a declared
-universe of destination-set shapes, shapes that share groups form *conflict
-components*, and a component containing some pair that intersects in exactly
-one group is **hot**.  Every global message addressed into a hot component
-is *exposed*: it acquires a final Skeen timestamp exactly like hybrid mode
-(the order claim, arbitrated by the same
-:class:`~repro.core.timestamps.TimestampAuthority` and piggybacked on the
-existing msg/ack traffic), and its deliveries follow ``(final timestamp,
-id)`` order at every group, with the authority subsuming the pivot guard for
-it just as in hybrid mode.  Exposing the whole component — not only the
-single-intersecting shapes — is load-bearing: a timestamp edge between a
-single-shared pair must never be composable with guard-ordered
-(two-plus-shared) edges into a cycle, and bounded model exploration
-(``repro.fuzz.explore``) found exactly that composition when exposure
-stopped at the single-intersecting shapes themselves.  Component closure
-removes every mixed pair wholesale: groups of different components are
-disjoint, so two messages that meet at any group are either both
-claim-ordered (their edge embeds in the global timestamp order) or both
-guard-ordered (the covered class the pivot guard already handles).
-Workloads whose declared shapes admit no single-shared pair anywhere get
-``ts = None`` and run bit-identical to the classic protocol.
+* If some two declared shapes intersect in **exactly one group**, the
+  deployment admits the *single-shared-group 3-cycle*: three pairwise orders
+  decided at three independent groups that no down-flowing history can
+  relate in time (DESIGN.md "guard or timestamps").  Every global message is
+  then Skeen-timestamped: it acquires a final timestamp from its destination
+  groups (:class:`~repro.core.timestamps.TimestampAuthority`, piggybacked on
+  the msg/ack traffic), and contested deliveries follow the global
+  ``(final timestamp, id)`` order, which subsumes the pivot guard.
+* Otherwise (no declared shape pair single-intersects, or nothing is
+  declared) every global message goes through the **pivot guard** — the
+  paper's timestamp-free protocol plus the guard that keeps a notif-ack
+  promise binding (:meth:`FlexCastGroup._pivot_guard_allows`).
+
+Every group of a deployment receives the same boolean from the protocol, so
+the choice is consistent everywhere; timestamps are paid for only where the
+declared workload needs them (the convoy effect of the paper's §5).
 
 Also on top of the paper's protocol: **batch carriers**.  A client may
 coalesce same-destination submissions into one ordering unit
 (:meth:`~repro.core.message.Message.batch_of`, shipped as a
 :class:`~repro.core.message.FlexCastBatch` request by
 :class:`~repro.core.batching.BatchingClient`).  The carrier flows through
-every rule below as a single message — one pivot, one hybrid timestamp
+every rule below as a single message — one pivot, one timestamp
 convoy, one history vertex, one msg/ack per destination — and
 :meth:`FlexCastGroup.a_deliver` fans it out into per-member application
 deliveries, so batching amortizes envelope overhead without touching the
@@ -83,6 +63,7 @@ echo the pseudo-code (``can_deliver`` = ``can-deliver``, ``reprocess_queues``
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
@@ -125,42 +106,6 @@ from .timestamps import TimestampAuthority
 #: Strategy (c) notifications, so the send path reuses one immutable instance
 #: instead of minting a fresh frozenset per hop.
 _NO_NOTIFIED: frozenset = frozenset()
-
-
-def _hot_conflict_groups(shapes: Sequence[frozenset]) -> frozenset:
-    """Union of the groups of every *hot* conflict component.
-
-    Declared shapes are nodes of a graph with an edge wherever two shapes
-    share a group; a connected component is hot when some pair inside it
-    intersects in exactly one group (the 3-cycle conflict class).  Groups of
-    different components are disjoint by construction, so membership of a
-    destination set in a hot component reduces to intersecting the returned
-    group set.
-    """
-    # Union-find keyed by group id: shapes sharing a group merge their roots.
-    parent: Dict[GroupId, GroupId] = {}
-
-    def find(g: GroupId) -> GroupId:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    for shape in shapes:
-        anchor = None
-        for g in shape:
-            parent.setdefault(g, g)
-            if anchor is None:
-                anchor = find(g)
-            else:
-                parent[find(g)] = anchor
-    hot_roots = {
-        find(next(iter(a & b)))
-        for i, a in enumerate(shapes)
-        for b in shapes[i:]
-        if len(a & b) == 1
-    }
-    return frozenset(g for g in parent if find(g) in hot_roots)
 
 
 @dataclass(slots=True)
@@ -210,6 +155,9 @@ class FlexCastGroup(AtomicMulticastGroup):
         Outbound communication channel (simulated or asyncio).
     sink:
         Application delivery callback.
+    timestamps:
+        Skeen-timestamp every global message instead of guarding it (the
+        deployment-wide choice :class:`FlexCastProtocol` makes).
     """
 
     def __init__(
@@ -218,52 +166,16 @@ class FlexCastGroup(AtomicMulticastGroup):
         overlay: CDagOverlay,
         transport: Transport,
         sink: DeliverySink,
-        pivot_guard: bool = True,
-        hybrid: bool = False,
-        conflict_shapes: Optional[Sequence[Set[GroupId]]] = None,
+        timestamps: bool = False,
     ) -> None:
         super().__init__(group_id, transport, sink)
         self.overlay = overlay
-        #: Enables the pivot-consistency guard (see :meth:`_pivot_guard_allows`).
-        #: ``False`` reverts to the seed's unguarded behaviour — kept only so
-        #: regression schedules can demonstrate the lost-delivery bug they pin.
-        self.pivot_guard = pivot_guard
-        #: Full hybrid mode: *every* global message is timestamp-ordered and
-        #: the authority subsumes the pivot guard entirely.
-        self.hybrid = hybrid
-        #: Conflict-scoped order claims (module docstring): the declared
-        #: universe of global destination-set shapes this deployment admits.
-        #: Shapes connected by shared groups form *conflict components*; a
-        #: component containing a pair that intersects in exactly one group
-        #: is **hot**, and every global message addressed into a hot
-        #: component is *exposed* — claim-ordered through the timestamp
-        #: authority.  The closure over whole components is what makes the
-        #: claims sound: a single-shared-group timestamp edge must not be
-        #: composable with guard-ordered (two-plus-shared) edges into a
-        #: cycle, and component closure removes every mixed pair — each
-        #: group belongs to at most one component, so two messages that
-        #: meet anywhere are either both exposed or both guard-ordered.
-        #: ``None``/empty disables the machinery; local (single-group)
-        #: shapes never count.  Ignored in hybrid mode, which timestamps
-        #: everything anyway.
-        shapes = tuple(
-            frozenset(s) for s in (conflict_shapes or ()) if len(frozenset(s)) > 1
-        )
-        if not hybrid and shapes:
-            self.conflict_shapes: Tuple[frozenset, ...] = shapes
-            self._hot_groups: frozenset = _hot_conflict_groups(shapes)
-        else:
-            self.conflict_shapes = ()
-            self._hot_groups = frozenset()
-        #: Skeen-timestamp ordering authority (None = no timestamping at
-        #: all).  Hybrid mode routes every global message through it; order
-        #: claims route only the hot conflict components — when no declared
-        #: pair can single-intersect, there is no authority and the code
-        #: path is bit-identical to the claim-free protocol.
+        #: Skeen-timestamp ordering authority, present iff the deployment
+        #: timestamps every global message (``timestamps``, decided once by
+        #: :class:`FlexCastProtocol` from the declared shapes); ``None``
+        #: leaves every global message to the pivot guard.
         self.ts: Optional[TimestampAuthority] = (
-            TimestampAuthority(group_id)
-            if hybrid or self._hot_groups
-            else None
+            TimestampAuthority(group_id) if timestamps else None
         )
         self.history = History()
         #: Messages delivered at this group (``deliveredInG``).
@@ -435,7 +347,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         )
         registry.gauge(
             "flexcast_ts_pending",
-            "Hybrid timestamp entries awaiting a final timestamp.",
+            "Timestamp entries awaiting a final timestamp.",
             labels,
             fn=lambda: self.ts.pending_count() if self.ts is not None else 0,
         )
@@ -509,7 +421,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         re-submission) that outlived the flush GC from re-enqueuing its
         pruned — already delivered — message: the GC discards
         ``delivered_in_g``, so without it the duplicate would re-deliver,
-        and in hybrid mode it could not even re-acquire a timestamp
+        and with timestamps on it could not even re-acquire a timestamp
         (``_acquire_timestamp`` refuses forgotten ids), leaving the convoy
         gate to trip on a queued message with no timestamp entry.
 
@@ -573,7 +485,7 @@ class FlexCastGroup(AtomicMulticastGroup):
             if me in dst and mid not in self.delivered_in_g and mid in self.history:
                 self._undelivered_to_me.add(mid)
                 if self.ts is not None and len(dst) > 1:
-                    # Hybrid: a merged delta revealed a global message
+                    # A merged delta revealed a global message
                     # addressed to us before its own envelope arrived —
                     # propose now so its final timestamp converges early
                     # (the vertex carries everything a proposal needs).
@@ -742,7 +654,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.reprocess_queues()
 
     def _on_ts_propose(self, envelope: FlexCastTsPropose) -> None:
-        """Hybrid mode: another destination's Skeen proposal for ``message``.
+        """Another destination's Skeen proposal for ``message``.
 
         Proposals are rank-independent (they depend only on the destination
         set), so this handler has no epoch/rank preconditions — it also runs
@@ -757,10 +669,10 @@ class FlexCastGroup(AtomicMulticastGroup):
                 f"{message.msg_id} addressed to {sorted(message.dst)}"
             )
         if self.ts is None:
-            # Mixed hybrid/non-hybrid deployments are invalid: a group that
-            # never proposes would block every timestamp decision forever.
+            # Mixed deployments are invalid: a group that never proposes
+            # would block every timestamp decision forever.
             raise ProtocolError(
-                f"group {self.group_id} runs with hybrid mode off but received "
+                f"group {self.group_id} runs without timestamps but received "
                 f"a timestamp proposal for {message.msg_id}"
             )
         self._acquire_timestamp(message)
@@ -768,7 +680,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.reprocess_queues()
 
     def _acquire_timestamp(self, message: Message) -> None:
-        """Hybrid mode: first-contact Skeen proposal for a global message.
+        """First-contact Skeen proposal for a global message.
 
         Piggybacks on whatever made this group learn of ``message`` (client
         request, msg/ack envelope, merged history vertex, or a peer's
@@ -812,7 +724,7 @@ class FlexCastGroup(AtomicMulticastGroup):
     def _observe_proposals(
         self, message: Message, proposals: Sequence[TsProposal]
     ) -> None:
-        """Hybrid mode: max-merge piggybacked/direct proposals for ``message``.
+        """Max-merge piggybacked/direct proposals for ``message``.
 
         A recorded proposal *raises* the message's effective timestamp (or
         decides it), which can unblock a head in **any** queue — the convoy
@@ -838,28 +750,16 @@ class FlexCastGroup(AtomicMulticastGroup):
             self._mark_all_queues_dirty()
 
     def _timestamped(self, message: Message) -> bool:
-        """True iff ``message`` is ordered by the timestamp authority —
-        every global message in hybrid mode, exposed shapes under order
-        claims (module docstring)."""
-        if self.ts is None or not message.is_global:
-            return False
-        return self.hybrid or self._exposed(message.dst)
-
-    def _exposed(self, dst: frozenset) -> bool:
-        """Order claims: ``dst`` lands in a hot conflict component.
-
-        Pure in ``dst``, symmetric, and transitively closed: every message
-        that can meet an exposed message at some group is itself exposed
-        (hot components own their groups outright), so timestamp edges and
-        guard edges can never mix into one cycle."""
-        return bool(dst & self._hot_groups)
+        """True iff ``message`` is ordered by the timestamp authority:
+        every global message of a timestamped deployment."""
+        return self.ts is not None and message.is_global
 
     def _enqueue_local(self, message: Message) -> None:
         """Queue a client-submitted message at its lca and drain.
 
         The lca almost always delivers the message within this very call (it
         is the first destination to order it).  The queue only matters when
-        the pivot guard defers it — or, in hybrid mode, while the message's
+        the pivot guard defers it — or, with timestamps on, while the message's
         final timestamp is still being acquired: delivering it *now* would
         slot it before an in-flight message that this group already knows
         precedes a notif pivot, retroactively invalidating an ack it has
@@ -906,11 +806,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         """Deliver ``message`` and propagate ordering information (``a-deliver``)."""
         # Promises made before this delivery; acks sent *during* it (parked
         # notif flushes below) already carry this message in their diff.
-        prior_pivots = (
-            list(self._notif_pivots.items())
-            if self.pivot_guard and self._notif_pivots
-            else []
-        )
+        prior_pivots = list(self._notif_pivots.items())
         if self._tracer is not None:
             self._tracer.record(
                 message.trace, STAGE_DELIVER, self.transport.now(), self._site
@@ -959,7 +855,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         if queue and queue[0].msg_id == message.msg_id:
             queue.popleft()
         elif queue and self.ts is not None:
-            # Hybrid delivers in (final ts, id) order, which may legally
+            # Timestamps deliver in (final ts, id) order, which may legally
             # invert the FIFO arrival order within one lca queue.
             for index, queued in enumerate(queue):
                 if queued.msg_id == message.msg_id:
@@ -1090,8 +986,8 @@ class FlexCastGroup(AtomicMulticastGroup):
         while dirty:
             lca = dirty.pop()
             queue = self.queues.get(lca)
-            if self.ts is not None and (self.hybrid or self.ts.pending_count()):
-                # Hybrid: the timestamp order may invert the FIFO arrival
+            if self.ts is not None:
+                # The timestamp order may invert the FIFO arrival
                 # order within a queue (a later arrival can hold a smaller
                 # final timestamp), so a blocked head must not wall off a
                 # deliverable message behind it — scan the whole queue and
@@ -1140,7 +1036,7 @@ class FlexCastGroup(AtomicMulticastGroup):
                 and self._timestamped(queue[0])
                 and self.ts.is_pending(queue[0].msg_id)
             ):
-                # Hybrid: the head is waiting out its ts-propose convoy.
+                # The head is waiting out its ts-propose convoy.
                 self._tracer.record(
                     queue[0].trace,
                     STAGE_TS_WAIT,
@@ -1236,32 +1132,29 @@ class FlexCastGroup(AtomicMulticastGroup):
         if not self._dependencies_satisfied(message.msg_id):
             return False
         if self._timestamped(message):
-            # The timestamp authority subsumes the pivot guard for
-            # timestamped messages — every global message in hybrid mode,
-            # the hot conflict components under order claims.  The convoy
+            # The timestamp authority subsumes the pivot guard: the convoy
             # gate delivers contested messages in ``(final ts, id)`` order —
             # a *global* total order — so any ordering this delivery mints
             # is consistent everywhere and the guard's concern (a new
             # pre-pivot ordering closing a cycle) cannot materialise.
             # Contradictory pivot waits, which the guarded protocol can
             # only escape heuristically, are broken by the timestamp tie
-            # instead.  Under claims this is sound precisely because
-            # exposure is component-closed: an exposed message never meets
-            # a guard-ordered one at any group, so skipping the guard here
-            # cannot invalidate a guard promise about a mixed pair.
+            # instead.  A timestamped deployment stamps *every* global
+            # message, so no guard-ordered global message exists whose
+            # promise skipping the guard here could invalidate.
             return self._ts_gate_allows(message)
         return self._pivot_guard_allows(message.msg_id)
 
     def _ts_gate_allows(self, message: Message) -> bool:
-        """Hybrid convoy gate: deliver in global ``(final ts, id)`` order."""
+        """Convoy gate: deliver in global ``(final ts, id)`` order."""
         assert self.ts is not None
         if not self.ts.is_pending(message.msg_id):
             # Every enqueue path proposes on first contact, and the authority
             # completes a message only at delivery (which also unlinks it
             # from its queue), so a queued global message without a pending
             # entry is an invariant breach.  Fail loudly: delivering it
-            # anyway would be exactly the unordered delivery hybrid mode
-            # exists to rule out.
+            # anyway would be exactly the unordered delivery timestamps
+            # exist to rule out.
             raise ProtocolError(
                 f"group {self.group_id}: queued global message "
                 f"{message.msg_id} has no timestamp entry"
@@ -1288,7 +1181,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         ``Y`` must go first (its position before ``P`` is already committed
         information, so delivering it creates nothing new).
         """
-        if not self.pivot_guard or not self._notif_pivots:
+        if not self._notif_pivots:
             return True
         if msg_id in self._guard_exempt:
             return True
@@ -1349,7 +1242,7 @@ class FlexCastGroup(AtomicMulticastGroup):
                 satisfied = False
                 break
             queue.extend(predecessors.get(node, ()))
-        if not satisfied and not self.hybrid:
+        if not satisfied and self.ts is None:
             # Poison tolerance: a blocking "predecessor" that is *also* a
             # descendant of the candidate sits in a delivery cycle with it —
             # a merged delta carried an upstream acyclic-order violation this
@@ -1359,8 +1252,8 @@ class FlexCastGroup(AtomicMulticastGroup):
             # deadlock), so cycle-void blockers are ignored; genuine acyclic
             # blockers still hold the candidate back.
             #
-            # Hybrid mode deliberately does NOT tolerate poison: the
-            # timestamp authority makes delivery cycles impossible, so a
+            # Timestamped deployments deliberately do NOT tolerate poison:
+            # the timestamp authority makes delivery cycles impossible, so a
             # cycle-contradictory blocker would indicate a genuine protocol
             # bug — blocking (and failing the fuzz liveness oracle) is the
             # loud outcome a guaranteed property wants, not deliver-through.
@@ -1473,7 +1366,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         watermarks survive as-is: watermarks are absolute journal sequence
         numbers, and a group that only now became a descendant falls below
         ``journal_base`` and simply receives a full live snapshot on first
-        contact (the PR-1 late-joiner path).  The hybrid timestamp authority
+        contact (the PR-1 late-joiner path).  The timestamp authority
         (``self.ts``) also survives untouched: timestamps are a property of
         a message's destination set, not of any rank order, so the Lamport
         clock and any in-flight proposal state stay valid across the switch
@@ -1511,40 +1404,26 @@ class FlexCastProtocol(AtomicMulticastProtocol):
     def __init__(
         self,
         overlay: CDagOverlay,
-        pivot_guard: bool = True,
-        hybrid: bool = False,
         conflict_shapes: Optional[Sequence[Set[GroupId]]] = None,
     ) -> None:
         if not isinstance(overlay, CDagOverlay):
             raise TypeError("FlexCast requires a complete-DAG overlay")
         super().__init__(overlay)
-        self.pivot_guard = pivot_guard
-        #: Hybrid Skeen-timestamp ordering authority for global messages
-        #: (see the module docstring); every group must agree on this flag.
-        self.hybrid = hybrid
-        #: Declared destination-set universe for conflict-scoped order
-        #: claims (module docstring).  Every group must agree on it —
-        #: exposure is a pure function of a message's shape, so agreement
-        #: makes claim decisions consistent deployment-wide.  The
-        #: declaration must cover every global destination set the workload
-        #: can submit (the fuzz harness derives it from the scenario).
-        self.conflict_shapes = (
-            tuple(frozenset(s) for s in conflict_shapes)
-            if conflict_shapes is not None
-            else None
+        #: Guard or timestamps, decided once for the whole deployment (module
+        #: docstring): ``conflict_shapes`` declares every global
+        #: destination set the workload can submit, and a single pair of
+        #: them intersecting in exactly one group makes every global message
+        #: timestamped.  Local (single-group) shapes never count.
+        shapes = [frozenset(s) for s in conflict_shapes or () if len(set(s)) > 1]
+        self.timestamps = any(
+            len(a & b) == 1 for a, b in itertools.combinations(shapes, 2)
         )
 
     def create_group(
         self, group_id: GroupId, transport: Transport, sink: DeliverySink
     ) -> FlexCastGroup:
         return FlexCastGroup(
-            group_id,
-            self.overlay,
-            transport,
-            sink,
-            pivot_guard=self.pivot_guard,
-            hybrid=self.hybrid,
-            conflict_shapes=self.conflict_shapes,
+            group_id, self.overlay, transport, sink, timestamps=self.timestamps
         )
 
     def entry_groups(self, message: Message) -> List[GroupId]:

@@ -5,10 +5,11 @@ same tested implementation serves two deployments:
 
 * :class:`~repro.protocols.skeen.SkeenGroup` — the paper's Distributed
   protocol, where *every* message is ordered by final timestamps; and
-* FlexCast's **hybrid mode** (:mod:`repro.core.flexcast`), where global
-  messages additionally acquire final timestamps so the delivery gate can
-  order disjoint-destination chains that the c-DAG's down-only information
-  flow cannot (see DESIGN.md "hybrid Skeen-timestamp ordering authority").
+* FlexCast deployments whose declared shapes admit the single-shared-group
+  3-cycle (:mod:`repro.core.flexcast`), where global messages additionally
+  acquire final timestamps so the delivery gate can order chains that the
+  c-DAG's down-only information flow cannot (see DESIGN.md "guard or
+  timestamps").
 
 The authority implements the timestamp half of Skeen's algorithm for one
 group:

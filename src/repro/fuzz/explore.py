@@ -36,10 +36,13 @@ reached when no channel has traffic and no timer can make progress.
 CLI (see ``python -m repro.fuzz explore --help``)::
 
     # exhaustive sweep of every single-shared-group shape up to 3 msgs x 3
-    # groups, plain mode with order claims (the fixed protocol):
+    # groups, with the shapes declared (the protocol picks timestamps):
     python -m repro.fuzz explore --max-msgs 3 --max-groups 3
 
-    # demonstrate the legacy hole: same sweep without order claims finds
+    # the same plus every shape without a single-shared pair (guard path):
+    python -m repro.fuzz explore --max-msgs 3 --max-groups 3 --all-shapes
+
+    # demonstrate the undeclared hole: same sweep without declared shapes finds
     # the 3-cycle and writes each violating interleaving as a schedule:
     python -m repro.fuzz explore --max-msgs 3 --max-groups 3 \
         --no-claims --out-dir explore-artifacts
@@ -108,11 +111,9 @@ class ShapeCase:
 
     num_groups: int
     destinations: Tuple[Tuple[int, ...], ...]
-    #: Conflict-scoped order claims (the plain-mode fix) on/off.
+    #: Declare the case's destination sets to the protocol (which then
+    #: picks guard or timestamps); off = the undeclared guard-only protocol.
     order_claims: bool = True
-    #: Full hybrid (Skeen) mode; overrides claims.
-    hybrid: bool = False
-    pivot_guard: bool = True
 
     @property
     def order(self) -> Tuple[int, ...]:
@@ -120,11 +121,7 @@ class ShapeCase:
 
     def label(self) -> str:
         dsts = "+".join("".join(map(str, d)) for d in self.destinations)
-        mode = (
-            "hybrid"
-            if self.hybrid
-            else ("claims" if self.order_claims else "legacy")
-        )
+        mode = "claims" if self.order_claims else "legacy"
         return f"g{self.num_groups}[{dsts}]-{mode}"
 
     def to_dict(self, choices: Sequence[Channel]) -> dict:
@@ -133,8 +130,6 @@ class ShapeCase:
             "num_groups": self.num_groups,
             "destinations": [list(d) for d in self.destinations],
             "order_claims": self.order_claims,
-            "hybrid": self.hybrid,
-            "pivot_guard": self.pivot_guard,
             "choices": [[str(s), str(d)] for s, d in choices],
         }
 
@@ -146,8 +141,6 @@ class ShapeCase:
             num_groups=int(data["num_groups"]),
             destinations=tuple(tuple(d) for d in data["destinations"]),
             order_claims=bool(data["order_claims"]),
-            hybrid=bool(data["hybrid"]),
-            pivot_guard=bool(data.get("pivot_guard", True)),
         )
         choices = [_parse_node_pair(s, d, case) for s, d in data["choices"]]
         return case, choices
@@ -289,12 +282,8 @@ def execute(
     fabric = _Fabric()
     overlay = CDagOverlay(list(case.order))
     dsts = [frozenset(d) for d in case.destinations]
-    conflict_shapes = dsts if (case.order_claims and not case.hybrid) else None
     protocol = FlexCastProtocol(
-        overlay,
-        pivot_guard=case.pivot_guard,
-        hybrid=case.hybrid,
-        conflict_shapes=conflict_shapes,
+        overlay, conflict_shapes=dsts if case.order_claims else None
     )
     sink = RecordingSink(clock=lambda: fabric.time)
     groups = {}
@@ -507,8 +496,6 @@ def enumerate_shapes(
     max_msgs: int,
     max_groups: int,
     order_claims: bool = True,
-    hybrid: bool = False,
-    pivot_guard: bool = True,
     single_shared_only: bool = True,
 ) -> Iterator[ShapeCase]:
     """All labelled destination-set multisets up to the given bounds.
@@ -540,8 +527,6 @@ def enumerate_shapes(
                     num_groups=k,
                     destinations=tuple(tuple(sorted(d)) for d in combo),
                     order_claims=order_claims,
-                    hybrid=hybrid,
-                    pivot_guard=pivot_guard,
                 )
 
 
@@ -557,14 +542,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-claims",
         dest="order_claims",
         action="store_false",
-        help="explore the legacy claim-free plain protocol (demonstrates "
-        "the single-shared-group 3-cycle the order claims close)",
-    )
-    parser.add_argument(
-        "--hybrid", action="store_true", help="explore full hybrid mode"
-    )
-    parser.add_argument(
-        "--unguarded", action="store_true", help="disable the pivot guard"
+        help="leave the destination sets undeclared, i.e. explore the "
+        "guard-only protocol (demonstrates the single-shared-group 3-cycle "
+        "that declaring them closes)",
     )
     parser.add_argument(
         "--all-shapes",
@@ -622,8 +602,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.max_msgs,
             args.max_groups,
             order_claims=args.order_claims,
-            hybrid=args.hybrid,
-            pivot_guard=not args.unguarded,
             single_shared_only=not args.all_shapes,
         )
     )

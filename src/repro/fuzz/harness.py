@@ -77,16 +77,15 @@ class FuzzResult:
       DESIGN.md "anatomy of a lost delivery".  These are *reported* (and
       shrinkable) so the limitation stays measured, not hidden.
 
-    With **hybrid mode** on, the second bucket is retired: the Skeen
-    timestamp authority makes global acyclic order a guaranteed property, so
-    an acyclic-order finding is a genuine violation and stays in
-    :attr:`violations` (``finalize_buckets(strict=True)``).
-
-    Since the conflict-scoped **order claims** closed the single-shared-group
-    3-cycle, the same is true for guarded plain-mode runs (the harness
-    default): the anomaly bucket only survives for explicitly legacy runs —
-    ``order_claims=False`` or ``pivot_guard=False`` — which regression
-    schedules use to demonstrate the holes the fixes close.
+    With the scenario's shape universe declared (``order_claims``, the
+    harness default) the second bucket is retired: the deployment picks
+    timestamps whenever the shapes admit the single-shared-group 3-cycle and
+    the pivot guard otherwise, and either way global acyclic order is a
+    guaranteed property, so an acyclic-order finding is a genuine violation
+    and stays in :attr:`violations` (``finalize_buckets(strict=True)``).
+    The anomaly bucket only survives for undeclared runs
+    (``order_claims=False``), which regression schedules use to demonstrate
+    the 3-cycle the declaration closes.
     """
 
     scenario: FuzzScenario
@@ -101,6 +100,10 @@ class FuzzResult:
     #: order (empty when the scenario runs unbatched).  Input to the
     #: batch-atomicity oracle and to tests.
     batches: List[Tuple[str, Tuple[str, ...]]] = field(default_factory=list)
+    #: Pivot-guard work summed over the run's FlexCast groups: queue-head
+    #: checks held back by the guard alone, and escape-timer releases.
+    pivot_guard_stalls: int = 0
+    guard_escapes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -122,9 +125,9 @@ class FuzzResult:
         Without a cycle, prefix/replay failures are genuine guarantee
         breaches and stay in :attr:`violations`.
 
-        ``strict`` (hybrid mode) disables the re-bucketing entirely: acyclic
-        order is guaranteed there, so a cycle is a first-class violation and
-        the sweep gate must fail on it.
+        ``strict`` (declared shapes) disables the re-bucketing entirely:
+        acyclic order is guaranteed there, so a cycle is a first-class
+        violation and the sweep gate must fail on it.
         """
         if strict:
             return
@@ -177,17 +180,13 @@ def _flush_submissions(scenario: FuzzScenario) -> List[Submission]:
 
 def run_scenario(
     scenario: FuzzScenario,
-    pivot_guard: bool = True,
-    hybrid: Optional[bool] = None,
     use_batching_client: bool = False,
     obs: Optional[Observability] = None,
-    order_claims: Optional[bool] = None,
+    order_claims: bool = True,
 ) -> FuzzResult:
     """Execute ``scenario`` deterministically and return the checked result.
 
-    ``hybrid=None`` (the default) follows the scenario's own ``hybrid``
-    field; an explicit ``True``/``False`` overrides it (the sweep's hybrid
-    on/off axis).  ``use_batching_client`` forces submissions through a
+    ``use_batching_client`` forces submissions through a
     :class:`~repro.core.batching.BatchingClient` even when the scenario's
     ``batch_window`` is 1 — the differential equivalence tests use this to
     pin that a window of one is bit-identical to the unbatched client.
@@ -197,23 +196,18 @@ def run_scenario(
     failing schedule).  Timestamps are virtual simulator milliseconds, so a
     trace is as deterministic as the run itself.
 
-    ``order_claims`` controls the conflict-scoped order claims that close
-    plain mode's single-shared-group 3-cycle: ``None`` (the default) enables
-    them for every guarded non-hybrid run — the harness derives the declared
-    shape universe from the scenario's own destination sets — making
-    ``acyclic-order`` a *hard* property for plain mode; ``False`` reverts to
-    the legacy claim-free protocol (regression schedules use it to
-    demonstrate the 3-cycle the claims close).
+    ``order_claims`` declares the scenario's shape universe (every
+    destination set it submits, see :func:`scenario_conflict_shapes`) to the
+    protocol, which picks guard or timestamps from it; that makes
+    ``acyclic-order`` a *hard* property.  ``False`` leaves the shapes
+    undeclared — the guard-only protocol ``ProcessCluster`` and
+    ``run_experiment`` deploy — under which the single-shared-group 3-cycle
+    is a reported anomaly (regression schedules use it to demonstrate the
+    cycle the declaration closes).
     """
-    if hybrid is None:
-        hybrid = scenario.hybrid
-    if order_claims is None:
-        order_claims = pivot_guard and not hybrid
     if scenario.replication_factor > 1:
-        return _run_replicated(scenario, pivot_guard, hybrid, obs)
-    return _run_flexcast(
-        scenario, pivot_guard, hybrid, use_batching_client, obs, order_claims
-    )
+        return _run_replicated(scenario, obs)
+    return _run_flexcast(scenario, use_batching_client, obs, order_claims)
 
 
 # ----------------------------------------------------------- batch atomicity
@@ -311,7 +305,7 @@ def _check_leaks(
 
 # ------------------------------------------------------------------ flexcast
 def scenario_conflict_shapes(scenario: FuzzScenario) -> Tuple[frozenset, ...]:
-    """The declared destination-shape universe for order claims: every
+    """The declared destination-shape universe of a scenario: every
     global destination set the scenario can submit, plus the all-groups
     shape used by GC flushes and epoch barriers."""
     shapes = {frozenset(sub.dst) for sub in scenario.submissions}
@@ -324,11 +318,9 @@ def scenario_conflict_shapes(scenario: FuzzScenario) -> Tuple[frozenset, ...]:
 
 def _run_flexcast(
     scenario: FuzzScenario,
-    pivot_guard: bool,
-    hybrid: bool,
     use_batching_client: bool = False,
     obs: Optional[Observability] = None,
-    order_claims: bool = False,
+    order_claims: bool = True,
 ) -> FuzzResult:
     loop = EventLoop()
     latencies = _latency_matrix(scenario)
@@ -337,26 +329,14 @@ def _run_flexcast(
     )
     overlay = CDagOverlay(list(scenario.order))
     reconfigurable = bool(scenario.reconfigs)
-    conflict_shapes = (
-        scenario_conflict_shapes(scenario) if order_claims and not hybrid else None
+    conflict_shapes = scenario_conflict_shapes(scenario) if order_claims else None
+    protocol_cls = (
+        ReconfigurableFlexCastProtocol if reconfigurable else FlexCastProtocol
     )
-    if reconfigurable:
-        protocol = ReconfigurableFlexCastProtocol(
-            overlay,
-            pivot_guard=pivot_guard,
-            hybrid=hybrid,
-            conflict_shapes=conflict_shapes,
-        )
-    else:
-        protocol = FlexCastProtocol(
-            overlay,
-            pivot_guard=pivot_guard,
-            hybrid=hybrid,
-            conflict_shapes=conflict_shapes,
-        )
+    protocol = protocol_cls(overlay, conflict_shapes=conflict_shapes)
 
     sink = RecordingSink(clock=lambda: loop.now)
-    groups: Dict[GroupId, object] = {}
+    groups: Dict[GroupId, FlexCastGroup] = {}
     delivery_epochs: Dict[GroupId, List[Tuple[str, int]]] = {
         gid: [] for gid in scenario.order
     }
@@ -449,6 +429,9 @@ def _run_flexcast(
     except RuntimeError as exc:
         result.violations.append(f"[livelock] {exc}")
         return result
+    for group in groups.values():
+        result.pivot_guard_stalls += group.stats["pivot_guard_stalls"]
+        result.guard_escapes += group.stats["guard_escapes"]
 
     if coordinator is not None:
         for barrier in coordinator.barrier_messages:
@@ -488,15 +471,13 @@ def _run_flexcast(
         epoch_report = check_epochs(delivery_epochs, barriers=coordinator.barriers)
         result.violations.extend(str(v) for v in epoch_report.violations)
 
-    result.finalize_buckets(strict=hybrid or order_claims)
+    result.finalize_buckets(strict=order_claims)
     return result
 
 
 # ---------------------------------------------------------------- replicated
 def _run_replicated(
     scenario: FuzzScenario,
-    pivot_guard: bool,
-    hybrid: bool,
     obs: Optional[Observability] = None,
 ) -> FuzzResult:
     """Crash-profile runs: one multi-Paxos replicated group.
@@ -517,7 +498,7 @@ def _run_replicated(
     network = Network(
         loop, latencies, jitter_ms=scenario.jitter_ms, seed=scenario.net_seed
     )
-    protocol = FlexCastProtocol(CDagOverlay([0]), pivot_guard=pivot_guard, hybrid=hybrid)
+    protocol = FlexCastProtocol(CDagOverlay([0]))
 
     sink = RecordingSink(clock=lambda: loop.now)
     delivered_ids: set = set()

@@ -22,14 +22,20 @@ the matching oracle expectations:
   with its own pre-crash deliveries, and convergent with the survivors;
 * ``reconfig`` — one or two scripted overlay switches (random permutations)
   run mid-traffic through the epoch coordinator; the whole multi-epoch trace
-  must satisfy the regular properties plus ``check_epochs``.
+  must satisfy the regular properties plus ``check_epochs``;
+* ``cold`` — no faults, but every destination set is redrawn from a *cold*
+  shape family (nested, chain, disjoint or paired) in which no two shapes
+  intersect in exactly one group.  A declared cold universe makes the protocol pick
+  the pivot guard rather than timestamps, so this is the profile that keeps
+  the guard path under fuzz.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.message import (
     FlexCastAck,
@@ -40,7 +46,7 @@ from ..core.message import (
 )
 from .scenario import Crash, FuzzScenario, Reconfig, Restart
 
-PROFILES = ("none", "dup", "loss", "crash", "reconfig", "crash-restart")
+PROFILES = ("none", "dup", "loss", "crash", "reconfig", "crash-restart", "cold")
 
 #: Bounded resubmit attempts for crash-family profiles (see
 #: :class:`repro.workload.clients.BoundedResubmitter`).
@@ -142,7 +148,51 @@ def apply_profile(scenario: FuzzScenario, profile: str) -> FuzzScenario:
             rng.shuffle(order)
             reconfigs.append(Reconfig(at_ms=at, order=tuple(order)))
         return replace(scenario, profile="reconfig", reconfigs=tuple(reconfigs))
+    if profile == "cold":
+        shapes = cold_shapes(scenario.order, rng)
+        submissions = tuple(
+            replace(s, dst=rng.choice(shapes)) for s in scenario.submissions
+        )
+        return replace(scenario, profile="cold", submissions=submissions)
     raise ValueError(f"unknown fault profile {profile!r}")
+
+
+def cold_shapes(order: Tuple[Any, ...], rng: random.Random) -> List[Tuple[Any, ...]]:
+    """A seeded destination-set family with no single-shared pair.
+
+    Drawn over a shuffled copy ``p`` of ``order``, cut into two-group
+    blocks ``b0 = p[0:2], b1 = p[2:4], …``:
+
+    * ``nested`` — prefixes ``p[:2] ⊂ p[:3] ⊂ …``: any two share >= 2 groups;
+    * ``chain`` — unions of neighbouring blocks (``b0 ∪ b1``, ``b1 ∪ b2``,
+      …): neighbours share a block, the rest nothing;
+    * ``disjoint`` — consecutive blocks of two or three groups;
+    * ``paired`` — every block and every union of two blocks: pairs share
+      zero, two or four groups, and three unions can meet pairwise in two
+      groups each — the overlap pattern that makes the pivot guard stall.
+
+    The all-groups flush shape meets each of these in >= 2 groups, so a
+    scenario's whole declared universe stays cold.
+    """
+    perm = list(order)
+    rng.shuffle(perm)
+    blocks = [perm[i:i + 2] for i in range(0, len(perm) - 1, 2)]
+    # Weighted towards ``paired``: of the four, only it makes the guard
+    # stall (measured over 50 seeds each), which is what this profile is for.
+    family = rng.choices(("nested", "chain", "disjoint", "paired"), (1, 1, 1, 3))[0]
+    if family == "chain" and len(blocks) >= 2:
+        shapes = [a + b for a, b in zip(blocks, blocks[1:])]
+    elif family == "paired" and len(blocks) >= 2:
+        shapes = blocks + [a + b for a, b in itertools.combinations(blocks, 2)]
+    elif family == "disjoint":
+        shapes, start = [], 0
+        while len(perm) - start >= 2:
+            size = 3 if len(perm) - start == 3 else rng.choice((2, 3))
+            shapes.append(perm[start:start + size])
+            start += size
+    else:
+        shapes = [perm[:k] for k in range(2, len(perm) + 1)]
+    return [tuple(shape) for shape in shapes]
 
 
 class EnvelopeFaultFilter:

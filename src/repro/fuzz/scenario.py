@@ -15,7 +15,7 @@ Scenarios serialize to plain JSON (``to_dict`` / ``from_dict`` /
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -93,11 +93,6 @@ class FuzzScenario:
     #: channels FlexCast assumes reliable), so the oracle checks that what
     #: *was* delivered is consistent, not that everything was delivered.
     expect_all_delivered: bool = True
-    #: Hybrid Skeen-timestamp ordering authority (see repro.core.flexcast).
-    #: With hybrid on, global acyclic order is a *guaranteed* property: the
-    #: harness promotes ``acyclic-order`` findings (and their replay/prefix
-    #: shadows) from reported anomalies to hard violations.
-    hybrid: bool = False
     #: Client-side batching window (repro.core.batching.BatchingClient):
     #: same-destination submissions are coalesced up to this many per
     #: FlexCastBatch.  ``1`` (the default, and the value every pre-batching
@@ -136,6 +131,11 @@ class FuzzScenario:
         version = data.pop("version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema version {version}")
+        # Keys of retired fields (an old ordering-mode flag: the deployment
+        # now derives guard or timestamps from the destination sets) are
+        # ignored, so committed schedules keep replaying byte-identical.
+        known = {f.name for f in fields(FuzzScenario)}
+        data = {key: value for key, value in data.items() if key in known}
         data["order"] = tuple(data["order"])
         data["submissions"] = tuple(
             Submission(

@@ -10,12 +10,13 @@ meet at exactly one dedicated group and nowhere else (extra per-message
 groups are drawn from disjoint pools, so they can never widen an
 intersection), plus optional unconstrained filler traffic.
 
-This is the adversarial input class for the conflict-scoped order claims
+This is the adversarial input class for the guard-or-timestamps choice
 (:mod:`repro.core.flexcast`): each pairwise order in the cycle is decided at
-an independent group, which is exactly what let plain mode compose a global
-delivery cycle before the claims.  Property tests drive these scenarios
-through plain, hybrid, and batched modes and assert ``strict_ok`` — since
-the claims, ``acyclic-order`` is a hard property in all three.
+an independent group, which is exactly what lets the guard-only protocol
+compose a global delivery cycle.  Declared, such a universe makes the
+deployment timestamp every global message; property tests drive these
+scenarios unbatched and batched and assert ``strict_ok`` — ``acyclic-order``
+is a hard property in both.
 
 Hypothesis is a dev-only dependency: this module is imported by tests, never
 by the runtime package.
@@ -116,8 +117,8 @@ def batched_single_shared_group_scenarios(
     """The same conflict class, shipped through the batching client.
 
     A batch carrier is one ordering unit, so coalescing same-destination
-    members must not re-open the cycle the claims close (nor may a claims
-    deadlock wedge a carrier and break batch atomicity).
+    members must not re-open the cycle the timestamps close (nor may a
+    convoy deadlock wedge a carrier and break batch atomicity).
     """
     scenario = draw(single_shared_group_scenarios())
     return replace(

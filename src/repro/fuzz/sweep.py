@@ -47,6 +47,9 @@ class SweepSummary:
     shrunk: List[FuzzScenario] = field(default_factory=list)
     elapsed_s: float = 0.0
     timed_out: bool = False
+    #: Pivot-guard work summed over every run (see :class:`FuzzResult`).
+    pivot_guard_stalls: int = 0
+    guard_escapes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -56,24 +59,19 @@ class SweepSummary:
 def run_sweep(
     seeds: Sequence[int],
     profiles: Sequence[str] = ("none", "dup", "reconfig"),
-    pivot_guard: bool = True,
     shrink_failures: bool = True,
     time_cap_s: Optional[float] = None,
     progress=None,
-    hybrid: Optional[bool] = None,
     batch_window: Optional[int] = None,
-    order_claims: Optional[bool] = None,
+    order_claims: bool = True,
 ) -> SweepSummary:
     """Run every ``(seed, profile)`` scenario; shrink and collect failures.
 
-    ``hybrid`` selects the ordering mode for every run: ``True`` forces the
-    Skeen-timestamp hybrid on (acyclic-order findings become hard failures),
-    ``False`` forces it off, ``None`` follows each scenario's own flag.
-    ``batch_window`` likewise forces the client-side batching window for
-    every run (``1`` = unbatched); ``None`` follows each scenario.
-    ``order_claims=None`` (the default) keeps the harness rule — claims on
-    for every guarded plain run, making acyclic-order a hard failure there
-    too; ``False`` is the legacy-comparison axis.
+    ``batch_window`` forces the client-side batching window for every run
+    (``1`` = unbatched); ``None`` follows each scenario.  ``order_claims``
+    (the default) declares each scenario's shape universe, so the protocol
+    picks guard or timestamps and acyclic-order is a hard failure;
+    ``False`` runs the undeclared guard-only protocol.
     """
     for profile in profiles:
         if profile not in PROFILES:
@@ -87,14 +85,12 @@ def run_sweep(
                 summary.elapsed_s = time.monotonic() - started
                 return summary
             scenario = apply_profile(generate_scenario(seed, profile), profile)
-            if hybrid is not None:
-                scenario = replace(scenario, hybrid=hybrid)
             if batch_window is not None:
                 scenario = replace(scenario, batch_window=batch_window)
-            result = run_scenario(
-                scenario, pivot_guard=pivot_guard, order_claims=order_claims
-            )
+            result = run_scenario(scenario, order_claims=order_claims)
             summary.runs += 1
+            summary.pivot_guard_stalls += result.pivot_guard_stalls
+            summary.guard_escapes += result.guard_escapes
             if result.strict_ok:
                 summary.clean += 1
             else:
@@ -108,9 +104,7 @@ def run_sweep(
                     # so one finding cannot blow a CI time cap.  Probes past
                     # the deadline report "not failing", which stops the
                     # reduction quickly and keeps the best scenario so far.
-                    base_fails = default_predicate(
-                        pivot_guard, order_claims=order_claims
-                    )
+                    base_fails = default_predicate(order_claims)
                     if time_cap_s is not None:
                         deadline = started + time_cap_s
                         if time.monotonic() >= deadline:
@@ -160,25 +154,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--time-cap-s", type=float, default=None)
     parser.add_argument("--no-shrink", action="store_true")
     parser.add_argument(
-        "--unguarded",
-        action="store_true",
-        help="run with the legacy (pre-fix) protocol, pivot guard disabled",
-    )
-    parser.add_argument(
-        "--hybrid",
-        dest="hybrid",
-        action="store_true",
-        default=None,
-        help="force the Skeen-timestamp hybrid ordering authority ON for "
-        "every run (acyclic-order findings become hard failures)",
-    )
-    parser.add_argument(
-        "--no-hybrid",
-        dest="hybrid",
-        action="store_false",
-        help="force hybrid mode OFF (default: follow each scenario's flag)",
-    )
-    parser.add_argument(
         "--batch",
         dest="batch_window",
         type=int,
@@ -191,10 +166,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-claims",
         dest="order_claims",
         action="store_false",
-        default=None,
-        help="disable the conflict-scoped order claims for every run "
-        "(legacy-comparison axis; acyclic-order findings become reported "
-        "anomalies again instead of hard failures)",
+        help="leave each scenario's shape universe undeclared, so every "
+        "run is guard-only (acyclic-order findings become reported "
+        "anomalies instead of hard failures)",
     )
     parser.add_argument("--replay", default=None, help="replay one schedule JSON")
     parser.add_argument("--quiet", action="store_true")
@@ -202,12 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.replay:
         scenario = FuzzScenario.load(args.replay)
-        result = run_scenario(
-            scenario,
-            pivot_guard=not args.unguarded,
-            hybrid=args.hybrid,
-            order_claims=args.order_claims,
-        )
+        result = run_scenario(scenario, order_claims=args.order_claims)
         print(
             f"replayed {scenario.name}: submitted={result.submitted} "
             f"delivered={result.delivered} violations={len(result.violations)} "
@@ -239,11 +208,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     summary = run_sweep(
         seeds,
         profiles=profiles,
-        pivot_guard=not args.unguarded,
         shrink_failures=not args.no_shrink,
         time_cap_s=args.time_cap_s,
         progress=progress,
-        hybrid=args.hybrid,
         batch_window=args.batch_window,
         order_claims=args.order_claims,
     )
@@ -253,6 +220,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{len(summary.anomalies)} ordering anomalies in "
         f"{summary.elapsed_s:.1f}s"
         + (" (time cap hit)" if summary.timed_out else "")
+        + f"; pivot_guard_stalls={summary.pivot_guard_stalls} "
+        f"guard_escapes={summary.guard_escapes}"
     )
     if args.out_dir and summary.shrunk:
         out = Path(args.out_dir)
@@ -266,13 +235,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # so the trace describes exactly the committed failure).  Inspect
             # with: PYTHONPATH=src python -m repro.obs trace <trace.json>
             obs = Observability.with_tracing()
-            run_scenario(
-                scenario,
-                pivot_guard=not args.unguarded,
-                hybrid=args.hybrid,
-                obs=obs,
-                order_claims=args.order_claims,
-            )
+            run_scenario(scenario, obs=obs, order_claims=args.order_claims)
             trace_path = out / f"trace-{scenario.name}-{index}.json"
             obs.tracer.dump_json(trace_path)
             print(f"wrote {trace_path}")

@@ -156,8 +156,9 @@ class Histogram:
     bound land in the overflow bucket.  ``percentile`` walks the
     cumulative counts and reports the matched bucket's upper bound —
     i.e. a conservative (over-) estimate with <= 2x relative error given
-    the power-of-two default bounds — except for the overflow bucket,
-    where the exact observed maximum is reported instead.
+    the power-of-two default bounds — clamped to the observed
+    ``[min, max]``, so no quantile ever exceeds the largest sample (the
+    overflow bucket reports the exact maximum).
     """
 
     __slots__ = (
@@ -222,11 +223,12 @@ class Histogram:
             raise ValueError(f"quantile must be in (0, 1], got {q}")
         # Rank of the target sample, 1-based ceiling.
         rank = max(1, int(q * self.total + 0.999999))
+        assert self.min is not None and self.max is not None
         seen = 0
         for bound, count in zip(self.bounds, self.counts):
             seen += count
             if seen >= rank:
-                return bound
+                return min(max(bound, self.min), self.max)
         # Landed in the overflow bucket: the exact max is the best bound.
         return self.max
 

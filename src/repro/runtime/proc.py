@@ -75,7 +75,6 @@ class ClusterSpec:
     replication: int
     storage_root: str
     host: str = "127.0.0.1"
-    hybrid: bool = False
     addresses: List[Tuple[Hashable, str, int]] = field(default_factory=list)
 
     # ----------------------------------------------------------- derived views
@@ -96,7 +95,7 @@ class ClusterSpec:
 
     def build_protocol(self) -> FlexCastProtocol:
         """The (deterministic) protocol instance every process agrees on."""
-        return FlexCastProtocol(CDagOverlay(list(self.groups)), hybrid=self.hybrid)
+        return FlexCastProtocol(CDagOverlay(list(self.groups)))
 
     # -------------------------------------------------------------------- json
     def to_json(self) -> str:
@@ -106,7 +105,6 @@ class ClusterSpec:
                 "replication": self.replication,
                 "storage_root": self.storage_root,
                 "host": self.host,
-                "hybrid": self.hybrid,
                 "addresses": [list(triple) for triple in self.addresses],
             },
             indent=2,
@@ -120,7 +118,6 @@ class ClusterSpec:
             replication=data["replication"],
             storage_root=data["storage_root"],
             host=data.get("host", "127.0.0.1"),
-            hybrid=data.get("hybrid", False),
             addresses=[tuple(triple) for triple in data["addresses"]],
         )
 
@@ -371,7 +368,6 @@ class ProcessCluster:
         groups: int = 2,
         replication: int = 3,
         storage_root: Optional[str] = None,
-        hybrid: bool = False,
         host: str = "127.0.0.1",
     ) -> None:
         if groups < 1 or replication < 1:
@@ -385,7 +381,6 @@ class ProcessCluster:
                 else tempfile.mkdtemp(prefix="repro-cluster-")
             ),
             host=host,
-            hybrid=hybrid,
         )
         self.protocol = self.spec.build_protocol()
         self.processes: Dict[Tuple[GroupId, int], subprocess.Popen] = {}

@@ -423,6 +423,9 @@ class MultiPaxosReplica:
         if instance in self._decided:
             return
         self._decided[instance] = value
+        # A decided instance needs no more driving: retire its proposer, so
+        # late promises, accepteds and nacks for it are ignored.
+        self._proposers.pop(instance, None)
         if self._log_wal is not None:
             # Persist the decision before applying it: after a restart the
             # replica replays exactly the prefix it already exposed.

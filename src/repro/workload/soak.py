@@ -60,7 +60,6 @@ class SoakConfig:
     #: Cluster topology.
     groups: int = 2
     replication: int = 3
-    hybrid: bool = False
     storage_root: Optional[str] = None
 
     #: Total messages to push through the cluster.
@@ -176,7 +175,6 @@ class SoakHarness:
             groups=config.groups,
             replication=config.replication,
             storage_root=config.storage_root,
-            hybrid=config.hybrid,
         )
         self._rng = random.Random(config.seed)
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -10,6 +10,9 @@ from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
 from repro.sim.transport import RecordingTransport
 
+#: Declared shapes sharing exactly one group: the deployment timestamps.
+TIMESTAMPED = [{0, 1}, {1, 2}]
+
 
 def make_message(i, dst=(0, 1), **kwargs):
     return Message.create(destinations=dst, msg_id=f"m{i}", **kwargs)
@@ -173,11 +176,11 @@ class TestBatchFanOutAtGate:
         assert len(transport.sent_to(1)) == 1
 
     def test_one_timestamp_convoy_per_batch(self):
-        # Hybrid mode: the carrier — not the members — acquires the final
-        # timestamp, so a batch of N costs |dst|-1 ts-propose envelopes
-        # total, not N * (|dst|-1).
+        # Timestamped deployment: the carrier — not the members — acquires
+        # the final timestamp, so a batch of N costs |dst|-1 ts-propose
+        # envelopes total, not N * (|dst|-1).
         overlay = CDagOverlay([0, 1, 2])
-        group = FlexCastProtocol(overlay, hybrid=True).create_group(
+        group = FlexCastProtocol(overlay, conflict_shapes=TIMESTAMPED).create_group(
             0, RecordingTransport(0), RecordingSink()
         )
         members = [make_message(i, dst=(0, 1, 2)) for i in range(8)]
@@ -252,7 +255,7 @@ class TestBatchFanOutAtGate:
 
     def test_member_retry_while_batch_in_flight_absorbed(self):
         # The retry can also arrive while the batch is still undelivered —
-        # here at a hybrid lca whose carrier waits in the convoy for the
+        # here at a timestamped lca whose carrier waits in the convoy for the
         # peer's proposal.  The member index must absorb the retry before
         # it becomes a second ordering unit, and crucially before it mints
         # a timestamp proposal: an undeliverable entry at the convoy gate's
@@ -261,7 +264,7 @@ class TestBatchFanOutAtGate:
 
         overlay = CDagOverlay([0, 1, 2])
         sink = RecordingSink()
-        group = FlexCastProtocol(overlay, hybrid=True).create_group(
+        group = FlexCastProtocol(overlay, conflict_shapes=TIMESTAMPED).create_group(
             0, RecordingTransport(0), sink
         )
         members = [make_message(i, dst=(0, 1)) for i in range(2)]

@@ -309,13 +309,54 @@ class TestFlexCastProtocol:
         assert isinstance(group, FlexCastGroup)
 
 
+class TestGuardOrTimestamps:
+    """The one ordering input: the declared shapes pick the mechanism once."""
+
+    @staticmethod
+    def groups_of(protocol):
+        return [
+            protocol.create_group(g, RecordingTransport(g), RecordingSink())
+            for g in protocol.groups
+        ]
+
+    def test_undeclared_deployment_guards(self):
+        protocol = FlexCastProtocol(CDagOverlay([0, 1, 2]))
+        assert not protocol.timestamps
+        assert all(group.ts is None for group in self.groups_of(protocol))
+
+    def test_single_shared_pair_timestamps_every_group(self):
+        # {0, 1} and {1, 2} meet only at 1; group 3 is in neither shape.
+        protocol = FlexCastProtocol(
+            CDagOverlay([0, 1, 2, 3]), conflict_shapes=[{0, 1}, {1, 2}]
+        )
+        assert protocol.timestamps
+        assert all(group.ts is not None for group in self.groups_of(protocol))
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [{0, 1}, {0, 1, 2}, {0, 1, 2, 3}],  # nested
+            [{0, 1, 2, 3}, {2, 3, 4, 5}],  # chain
+            [{0, 1}, {2, 3}, {4, 5}],  # disjoint
+            [{0, 1, 2}, {0, 1, 2}],  # one shape declared twice
+            [{0}, {0, 1}, {1}],  # local shapes never count
+        ],
+        ids=["nested", "chain", "disjoint", "repeated", "local"],
+    )
+    def test_cold_universes_guard(self, shapes):
+        protocol = FlexCastProtocol(
+            CDagOverlay(list(range(6))), conflict_shapes=shapes
+        )
+        assert not protocol.timestamps
+
+
 class TestForgottenDuplicates:
     """A duplicated envelope that outlives the flush GC must be inert.
 
     After GC prunes a delivered message, ``delivered_in_g`` no longer
     remembers it — the history's forgotten-set is the only guard left, and
     the enqueue paths must honour it or the duplicate is re-delivered (and,
-    in hybrid mode, could not even re-acquire a timestamp).
+    with timestamps on, could not even re-acquire a timestamp).
     """
 
     def _deliver_and_gc(self, group, ts=False):
@@ -351,9 +392,9 @@ class TestForgottenDuplicates:
         assert sink.sequence(C) == ["m1", "f1"]
         assert all(size == 0 for size in group.queue_sizes().values())
 
-    def test_duplicate_of_gc_pruned_message_inert_in_hybrid_mode(self, overlay):
+    def test_duplicate_of_gc_pruned_message_inert_with_timestamps(self, overlay):
         transport, sink = RecordingTransport(C), RecordingSink()
-        group = FlexCastGroup(C, overlay, transport, sink, hybrid=True)
+        group = FlexCastGroup(C, overlay, transport, sink, timestamps=True)
         self._deliver_and_gc(group, ts=True)
         assert sink.sequence(C) == ["m1", "f1"]
         assert group.history.is_forgotten("m1")

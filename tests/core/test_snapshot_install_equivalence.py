@@ -12,8 +12,8 @@ applying the same logical content through either path must produce
 * WAL contents that :meth:`History.recover` replays to the identical DAG on
   both storage backends, including after a snapshot round-trip;
 * bit-identical per-group delivery sequences when whole protocol runs are
-  driven with the snapshot path forced on vs forced off, in plain, hybrid
-  and batched modes.
+  driven with the snapshot path forced on vs forced off, with the shapes
+  declared and undeclared, unbatched and batched.
 """
 
 from dataclasses import replace
@@ -192,26 +192,28 @@ class TestDeliverySequenceEquivalence:
     delivery sequences, not just the same sets.
     """
 
-    def _run(self, seed, hybrid, batch_window, monkeypatch, cold_min):
+    def _run(self, seed, declared, batch_window, monkeypatch, cold_min):
         monkeypatch.setattr(
             "repro.core.history.COLD_SYNC_MIN_ENTRIES", cold_min
         )
         scenario = apply_profile(generate_scenario(seed, "none"), "none")
-        scenario = replace(scenario, hybrid=hybrid, batch_window=batch_window)
-        return run_scenario(scenario)
+        scenario = replace(scenario, batch_window=batch_window)
+        return run_scenario(scenario, order_claims=declared)
 
-    @pytest.mark.parametrize("hybrid", [False, True], ids=["plain", "hybrid"])
+    @pytest.mark.parametrize(
+        "declared", [False, True], ids=["undeclared", "declared"]
+    )
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_sequences_identical(self, seed, hybrid, monkeypatch):
-        snap = self._run(seed, hybrid, 1, monkeypatch, cold_min=1)
-        item = self._run(seed, hybrid, 1, monkeypatch, cold_min=10**9)
+    def test_sequences_identical(self, seed, declared, monkeypatch):
+        snap = self._run(seed, declared, 1, monkeypatch, cold_min=1)
+        item = self._run(seed, declared, 1, monkeypatch, cold_min=10**9)
         assert snap.sequences == item.sequences
         assert snap.violations == item.violations
         assert snap.ordering_anomalies == item.ordering_anomalies
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_sequences_identical_batched(self, seed, monkeypatch):
-        snap = self._run(seed, False, 16, monkeypatch, cold_min=1)
-        item = self._run(seed, False, 16, monkeypatch, cold_min=10**9)
+        snap = self._run(seed, True, 16, monkeypatch, cold_min=1)
+        item = self._run(seed, True, 16, monkeypatch, cold_min=10**9)
         assert snap.sequences == item.sequences
         assert snap.violations == item.violations

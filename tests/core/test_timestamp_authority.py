@@ -1,11 +1,11 @@
 """Unit tests for the shared Skeen timestamp ordering authority.
 
 :class:`repro.core.timestamps.TimestampAuthority` is the one implementation
-behind both the Distributed baseline (``protocols/skeen.py``) and FlexCast's
-hybrid mode (``core/flexcast.py``), so these tests pin the three behaviours
-both deployments lean on: proposal **max-merge**, the **convoy wait**, and
-**duplicate-propose** absorption (what makes envelope duplication and epoch
-re-routes harmless).
+behind both the Distributed baseline (``protocols/skeen.py``) and
+timestamped FlexCast deployments (``core/flexcast.py``), so these tests pin
+the three behaviours both deployments lean on: proposal **max-merge**, the
+**convoy wait**, and **duplicate-propose** absorption (what makes envelope
+duplication and epoch re-routes harmless).
 """
 
 import pytest

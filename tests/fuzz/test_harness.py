@@ -1,6 +1,7 @@
 """The fuzz harness itself: determinism, profiles, oracle wiring."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -10,8 +11,10 @@ from repro.fuzz import (
     generate_scenario,
     run_scenario,
 )
+from repro.fuzz.harness import scenario_conflict_shapes
 from repro.fuzz.profiles import PROFILES, apply_profile
 from repro.fuzz.scenario import Crash, Reconfig
+from repro.fuzz.sweep import run_sweep
 
 
 def small_scenario(**overrides):
@@ -86,6 +89,20 @@ class TestOracles:
         assert scenario.expect_all_delivered is False
         result = run_scenario(scenario)
         assert result.ok, result.violations
+
+    def test_cold_profile_declares_a_guarded_universe(self):
+        for seed in range(30):
+            scenario = apply_profile(generate_scenario(seed, "cold"), "cold")
+            shapes = scenario_conflict_shapes(scenario)
+            assert not any(
+                len(a & b) == 1 for a, b in itertools.combinations(shapes, 2)
+            ), (seed, shapes)
+
+    def test_cold_profile_exercises_the_guard(self):
+        # The guard path, strict: stalls are counted, the run stays clean.
+        summary = run_sweep(range(10), profiles=("cold",))
+        assert summary.clean == summary.runs == 10
+        assert summary.pivot_guard_stalls > 0
 
     def test_every_declared_profile_runs(self):
         for profile in PROFILES:

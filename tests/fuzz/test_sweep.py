@@ -36,7 +36,4 @@ class TestCli:
             Path(__file__).parents[1] / "regression" / "schedules"
             / "lost_delivery_inventory.json"
         )
-        # Fixed protocol replays clean...
         assert main(["--replay", str(schedule)]) == 0
-        # ...and the legacy unguarded protocol still exhibits the bug.
-        assert main(["--replay", str(schedule), "--unguarded"]) == 1

@@ -1,14 +1,14 @@
-"""Differential equivalence: order claims are invisible off the hot path.
+"""Differential equivalence: declaring a cold shape universe changes nothing.
 
-The conflict-scoped order claims (ISSUE 10) must cost nothing — not even a
-changed tiebreak — for workloads that cannot form a single-shared-group
-pair: claims only activate for conflict components containing a pair of
-declared shapes intersecting in exactly one group, and a scenario with no
-such pair has no hot component, no timestamp authority, and therefore the
-*identical* delivery schedule as the legacy claim-free protocol.
+Declaring the workload's shapes must cost nothing — not even a changed
+tiebreak — for workloads that cannot form a single-shared-group pair: the
+deployment picks timestamps only when some two declared shapes intersect in
+exactly one group, and a scenario with no such pair gets the pivot guard, no
+timestamp authority, and therefore the *identical* delivery schedule as the
+undeclared protocol.
 
 These tests pin that as a bit-identity: per-group delivery sequences from
-``order_claims=False`` and the (claims-on) harness default must be equal,
+``order_claims=False`` and the (declared) harness default must be equal,
 element for element.  The harness adds the all-groups shape (GC flushes,
 epoch barriers) to the declared universe, so the scenarios below are built
 so no shape pair — including against the full-order shape — meets at
@@ -17,10 +17,17 @@ exactly one group.
 
 import pytest
 
-from repro.core.flexcast import _hot_conflict_groups
+from repro.core.flexcast import FlexCastProtocol
 from repro.fuzz import FuzzScenario, Submission, run_scenario
 from repro.fuzz.harness import scenario_conflict_shapes
 from repro.fuzz.strategies import single_shared_pairs
+from repro.overlay.cdag import CDagOverlay
+
+
+def _picks_timestamps(scenario):
+    shapes = scenario_conflict_shapes(scenario)
+    overlay = CDagOverlay(list(scenario.order))
+    return FlexCastProtocol(overlay, conflict_shapes=shapes).timestamps
 
 
 def _scenario(name, order, dsts, **kwargs):
@@ -70,9 +77,8 @@ class TestColdWorkloadsAreBitIdentical:
     def test_no_single_shared_pair_by_construction(self, scenario):
         assert single_shared_pairs(scenario) == []
 
-    def test_no_hot_component(self, scenario):
-        shapes = list(scenario_conflict_shapes(scenario))
-        assert _hot_conflict_groups(shapes) == frozenset()
+    def test_declared_shapes_pick_the_guard(self, scenario):
+        assert not _picks_timestamps(scenario)
 
     def test_sequences_identical_with_and_without_claims(self, scenario):
         with_claims = run_scenario(scenario)
@@ -86,12 +92,11 @@ class TestColdWorkloadsAreBitIdentical:
 
 
 class TestHotWorkloadStaysDifferent:
-    def test_single_shared_pair_activates_the_authority(self):
+    def test_single_shared_pair_picks_timestamps(self):
         """Control for the suite above: with a single-shared pair present
-        the hot component is non-empty, so the bit-identity tests really
-        are exercising the cold path and not a disabled feature."""
+        the deployment timestamps, so the bit-identity tests really are
+        exercising the guard path and not a disabled feature."""
         scenario = _scenario(
             "hot-control", (0, 1, 2), [(0, 1), (1, 2), (0, 2)]
         )
-        shapes = list(scenario_conflict_shapes(scenario))
-        assert _hot_conflict_groups(shapes) != frozenset()
+        assert _picks_timestamps(scenario)

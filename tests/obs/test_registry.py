@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
@@ -102,6 +104,29 @@ class TestHistogramEdgeCases:
             h.percentile(0.0)
         with pytest.raises(ValueError):
             h.percentile(1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.floats(min_value=1e-4, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=200,
+        ),
+        q=st.sampled_from([0.01, 0.5, 0.9, 0.99, 0.999, 1.0]),
+    )
+    @example(samples=[3.0] * 100, q=0.99)
+    def test_percentile_brackets_exact_quantile(self, samples, q):
+        # Against the exact nearest-rank quantile: the estimate never
+        # under-reports it, and never leaves the observed [min, max].
+        h = Histogram("lat_ms")
+        for value in samples:
+            h.observe(value)
+        ordered = sorted(samples)
+        exact = ordered[max(1, int(q * len(ordered) + 0.999999)) - 1]
+        estimate = h.percentile(q)
+        assert estimate is not None
+        assert ordered[0] <= estimate <= ordered[-1]
+        assert estimate >= exact
 
     def test_weighted_observation_counts_population(self):
         # 1-in-N sampled hot paths observe with weight=N; the histogram

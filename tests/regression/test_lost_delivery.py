@@ -8,19 +8,18 @@ lets groups commit complementary halves of a delivery cycle, which then
 deadlocked the highest-ranked destination forever (four transfers applied at
 only one endpoint).
 
-``pivot_guard=False`` reverts to the seed's unguarded behaviour, so the
-shrunk schedule still demonstrably fails there and must stay clean on the
-fixed protocol.
+The pivot guard is the fix for that race: the shrunk schedule must stay
+clean both with its shapes declared (the harness default) and undeclared
+(the guard-only protocol).
 
-The full schedule doubles as the gate for the hybrid Skeen-timestamp
-ordering authority (ISSUE 4): the committed JSON pins ``hybrid: true``, under
-which the run must be *strictly* clean — zero violations **and** zero
-acyclic-order anomalies.  With hybrid *and* the conflict-scoped order claims
-(ISSUE 10) both forced off, the same schedule still exhibits the residual
-anomaly of the down-only c-DAG information flow (never a
-lost/duplicated/misordered-per-pair delivery), which pins both that the hole
-is real and that an ordering authority is what closes it; guarded plain mode
-with claims on passes strictly, like hybrid.
+The full schedule doubles as the gate for the guard-or-timestamps choice:
+its transfers admit single-shared-group pairs, so with the shapes declared
+the deployment timestamps every global message and the run must be
+*strictly* clean — zero violations **and** zero acyclic-order anomalies.
+Undeclared, the same schedule still exhibits the residual anomaly of the
+down-only c-DAG information flow (never a lost/duplicated/misordered-per-pair
+delivery), which pins both that the hole is real and that an ordering
+authority is what closes it.
 """
 
 from pathlib import Path
@@ -43,22 +42,14 @@ def full():
 
 
 class TestShrunkSchedule:
-    def test_fails_on_unguarded_protocol(self, shrunk):
-        result = run_scenario(shrunk, pivot_guard=False)
-        assert not result.strict_ok
-        assert any(
-            "[acyclic-order]" in v
-            for v in result.violations + result.ordering_anomalies
-        )
-
     def test_passes_on_fixed_protocol(self, shrunk):
-        result = run_scenario(shrunk, pivot_guard=True)
+        result = run_scenario(shrunk)
         assert result.strict_ok, result.violations + result.ordering_anomalies
         # Everything submitted is delivered at every destination.
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 
-    def test_passes_on_hybrid_protocol(self, shrunk):
-        result = run_scenario(shrunk, pivot_guard=True, hybrid=True)
+    def test_passes_on_guard_only_protocol(self, shrunk):
+        result = run_scenario(shrunk, order_claims=False)
         assert result.strict_ok, result.violations + result.ordering_anomalies
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 
@@ -66,12 +57,11 @@ class TestShrunkSchedule:
 class TestFullInventorySchedule:
     """The example's full workload, replayed through the harness.
 
-    The committed schedule pins ``hybrid: true``, so this is the tier-1 form
-    of the CI gate ``python -m repro.fuzz --replay .../inventory_seed3_full.json``.
+    This is the tier-1 form of the CI gate
+    ``python -m repro.fuzz --replay .../inventory_seed3_full.json``.
     """
 
-    def test_strictly_clean_in_hybrid_mode(self, full):
-        assert full.hybrid, "committed schedule must pin hybrid mode"
+    def test_strictly_clean_with_declared_shapes(self, full):
         result = run_scenario(full)
         # Hard gate: zero violations of any kind, anomalies included — with
         # the ordering authority on, acyclic order is a guaranteed property.
@@ -79,25 +69,16 @@ class TestFullInventorySchedule:
         # Every transfer reaches both endpoints (the original bug lost 4).
         assert result.delivered == sum(len(s.dst) for s in full.submissions)
 
-    def test_strictly_clean_in_plain_mode_with_order_claims(self, full):
-        # Since the conflict-scoped order claims (ISSUE 10) closed the
-        # single-shared-group 3-cycle, guarded plain mode passes this
-        # schedule strictly too — the inventory residual anomaly was the
-        # same conflict class the claims arbitrate.
-        result = run_scenario(full, hybrid=False)
-        assert result.strict_ok, result.violations + result.ordering_anomalies
-        assert result.delivered == sum(len(s.dst) for s in full.submissions)
-
-    def test_residual_anomaly_without_hybrid_or_claims(self, full):
-        result = run_scenario(full, hybrid=False, order_claims=False)
+    def test_residual_anomaly_when_undeclared(self, full):
+        result = run_scenario(full, order_claims=False)
         # Guaranteed properties still hold without either authority...
         assert result.ok, result.violations
         assert result.delivered == sum(len(s.dst) for s in full.submissions)
         # ...but the down-only information flow leaves the documented
         # acyclic-order hole this schedule was committed to reproduce.
         assert result.ordering_anomalies, (
-            "expected the known acyclic-order anomaly with hybrid and "
-            "order claims both off; if the base protocol now closes it, "
+            "expected the known acyclic-order anomaly with the shapes "
+            "undeclared; if the guard-only protocol now closes it, "
             "fold this into DESIGN.md"
         )
 

@@ -8,11 +8,11 @@ independent groups, which closes a global delivery cycle
 order of each pair is forced the moment its shared group delivers the pair's
 first element, before that group has heard of the second.
 
-``order_claims=False`` reverts to the claim-free protocol, so the schedule
-still demonstrably fails there; on the fixed protocol (conflict-scoped order
-claims, the harness default for guarded plain runs) it must be *strictly*
-clean — plain-mode ``acyclic-order`` is a hard property now.  Hybrid mode
-was never affected (final timestamps order everything) and stays clean too.
+``order_claims=False`` leaves the shapes undeclared (the guard-only
+protocol), so the schedule still demonstrably fails there; with the shapes
+declared (the harness default) the deployment timestamps every global
+message and the run must be *strictly* clean — ``acyclic-order`` is a hard
+property.
 """
 
 from pathlib import Path
@@ -47,14 +47,10 @@ class TestSingleSharedGroupCycleSchedule:
         assert result.strict_ok, result.violations + result.ordering_anomalies
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 
-    def test_passes_on_hybrid_protocol(self, shrunk):
-        result = run_scenario(shrunk, hybrid=True)
-        assert result.strict_ok, result.violations + result.ordering_anomalies
-        assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
-
     def test_schedule_is_single_shared_group_shaped(self, shrunk):
         """The committed shape class: some pair of destination sets
-        intersects in exactly one group (what exposes it to the claims)."""
+        intersects in exactly one group (what makes a declared deployment
+        timestamp)."""
         shapes = [set(s.dst) for s in shrunk.submissions if len(s.dst) > 1]
         assert any(
             len(a & b) == 1

@@ -73,7 +73,11 @@ class TestBatchedCluster:
 
     def test_batched_and_plain_multicasts_interleave(self):
         async def scenario():
-            protocol = FlexCastProtocol(CDagOverlay([0, 1, 2]), hybrid=True)
+            # {0, 1} and {1, 2} share one group: a timestamped deployment.
+            protocol = FlexCastProtocol(
+                CDagOverlay([0, 1, 2]), conflict_shapes=[{0, 1}, {1, 2}]
+            )
+            assert protocol.timestamps
             async with LocalCluster(protocol) as cluster:
                 client = await cluster.new_client("client-1")
                 await client.multicast([0, 1], payload="before")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientRequest, Message
+from repro.obs.registry import MetricsRegistry
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
 from repro.sim.events import EventLoop
@@ -57,6 +58,24 @@ class TestReplication:
         loop.run_until_idle()
         assert applied["r0"] == ["from-follower"]
         assert replicas["r2"].stats["forwarded"] == 1
+
+    def test_open_proposers_gauge_reads_zero_after_quiescent_run(self):
+        loop, network, replicas, applied = deploy_replicas()
+        registry = MetricsRegistry()
+        for replica in replicas.values():
+            replica.register_metrics(registry)
+        for i in range(6):
+            replicas[f"r{i % 3}"].submit(f"cmd-{i}")
+        loop.run_until_idle()
+        network.unregister("r0")
+        for rid in ("r1", "r2"):
+            replicas[rid].mark_failed("r0")
+        replicas["r2"].submit("after-failover")
+        loop.run_until_idle()
+        assert len(applied["r1"]) == 7
+        gauges = registry.snapshot()["gauges"]
+        for rid in replicas:
+            assert gauges[f'smr_open_proposers{{replica="{rid}"}}'] == 0
 
     def test_replica_must_be_listed_in_peers(self):
         loop, network, _, _ = deploy_replicas()

@@ -132,6 +132,26 @@ def test_reset_replaces_contents_atomically(tmp_path):
     assert not os.path.exists(_wal_path(storage, "log") + ".tmp")
 
 
+def test_length_is_counted_and_records_are_read_from_the_file(tmp_path):
+    path = str(tmp_path / "log.wal")
+    wal = FileWAL(path, fsync_every=1000)
+    for i in range(5):
+        wal.append(i)
+    assert len(wal) == 5
+    # Unsynced appends are already in the file records() scans.
+    assert wal.records() == [0, 1, 2, 3, 4]
+    wal.reset(["a", "b"])
+    wal.append("c")
+    assert len(wal) == 3
+    wal.close()
+    with open(path, "ab") as fh:
+        fh.write(b"\x00\x00")  # torn header: dropped on reopen
+    reopened = FileWAL(path)
+    assert len(reopened) == 3
+    assert reopened.records() == ["a", "b", "c"]
+    reopened.close()
+
+
 def test_fsync_batching_still_flushes_every_append(tmp_path):
     # With fsync_every=1000 nothing forces an fsync, but appends are still
     # flushed to the OS, so a reader sees every record (process-crash model).
